@@ -477,7 +477,12 @@ let bound_key env join (b : Plan.key_bound) : Rss.Btree.bound =
           (match join with
            | Some f -> Rel.Tuple.get f.tuple (Layout.pos f.layout c)
            | None ->
-             invalid_arg "Eval.bound_key: dynamic bound without join context"))
+             invalid_arg "Eval.bound_key: dynamic bound without join context")
+        | Plan.Bv_corr { levels_up; tab; col } ->
+          (match List.nth_opt env.blocks (levels_up - 1) with
+           | Some outer ->
+             Rel.Tuple.get outer.tuple (Layout.pos outer.layout { Semant.tab; col })
+           | None -> invalid_arg "Eval.bound_key: outer reference beyond block stack"))
       b.Plan.values
   in
   (Array.of_list values, if b.Plan.inclusive then `Inclusive else `Exclusive)

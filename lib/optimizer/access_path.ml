@@ -38,23 +38,36 @@ type eq_match = {
   eq_value : Plan.bound_value;
 }
 
-(* Equal-predicate factor on column [col] of [tab]: a local "col = const" or
-   a dynamically-bound equi-join. *)
+(* The value an operand takes for one opening of the scan: a literal, a [?]
+   placeholder bound at execution, or a correlation value, which section 6
+   treats as a constant for each evaluation of the subquery. *)
+let opening_value = function
+  | Semant.E_const v -> Some (Plan.Bv_const v)
+  | Semant.E_param i -> Some (Plan.Bv_param i)
+  | Semant.E_outer { levels_up; tab; col } ->
+    Some (Plan.Bv_corr { levels_up; tab; col })
+  | Semant.E_col _ | Semant.E_binop _ | Semant.E_agg _ -> None
+
+let on_col ~tab ~col (c : Semant.col_ref) = c.tab = tab && c.col = col
+
+(* Equal-predicate factor on column [col] of [tab]: "col = value" for any
+   opening value, or a dynamically-bound equi-join. *)
 let find_eq ~tab ~outer ~col app =
   List.find_map
     (fun (f : Normalize.factor) ->
-      match f.simple, f.pred with
-      | Some (c, Rss.Sarg.Eq, v), _ when c.tab = tab && c.col = col ->
-        Some { eq_factor = f; eq_value = Plan.Bv_const v }
-      | _, Semant.P_cmp (Semant.E_col c, Ast.Eq, Semant.E_param i)
-      | _, Semant.P_cmp (Semant.E_param i, Ast.Eq, Semant.E_col c)
-        when c.Semant.tab = tab && c.Semant.col = col ->
-        Some { eq_factor = f; eq_value = Plan.Bv_param i }
-      | _ ->
-        (match dynamic_eq ~tab ~outer f with
-         | Some (jcol, outer_ref) when jcol = col ->
-           Some { eq_factor = f; eq_value = Plan.Bv_outer outer_ref }
-         | _ -> None))
+      let value =
+        match f.pred with
+        | Semant.P_cmp (Semant.E_col c, Ast.Eq, e) when on_col ~tab ~col c ->
+          opening_value e
+        | Semant.P_cmp (e, Ast.Eq, Semant.E_col c) when on_col ~tab ~col c ->
+          opening_value e
+        | _ -> None
+      in
+      match value, dynamic_eq ~tab ~outer f with
+      | Some v, _ -> Some { eq_factor = f; eq_value = v }
+      | None, Some (jcol, outer_ref) when jcol = col ->
+        Some { eq_factor = f; eq_value = Plan.Bv_outer outer_ref }
+      | None, _ -> None)
     app
 
 type range_match = {
@@ -63,51 +76,37 @@ type range_match = {
   r_inclusive : bool;
 }
 
+(* Range factor bounding column [col] of [tab] from below ([`Lo]) or above
+   ([`Hi]) by an opening value: a comparison either way round, or one side
+   of a BETWEEN. *)
 let find_range ~tab ~col ~dir app =
+  let flip = function
+    | Ast.Lt -> Ast.Gt | Ast.Le -> Ast.Ge
+    | Ast.Gt -> Ast.Lt | Ast.Ge -> Ast.Le
+    | (Ast.Eq | Ast.Ne) as op -> op
+  in
   List.find_map
     (fun (f : Normalize.factor) ->
-      match f.between, dir with
-      | Some (c, lo, _), `Lo when c.tab = tab && c.col = col ->
-        Some { r_factor = f; r_value = Plan.Bv_const lo; r_inclusive = true }
-      | Some (c, _, hi), `Hi when c.tab = tab && c.col = col ->
-        Some { r_factor = f; r_value = Plan.Bv_const hi; r_inclusive = true }
-      | _ ->
-        (match f.simple, dir with
-         | Some (c, Rss.Sarg.Gt, v), `Lo when c.tab = tab && c.col = col ->
-           Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = false }
-         | Some (c, Rss.Sarg.Ge, v), `Lo when c.tab = tab && c.col = col ->
-           Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = true }
-         | Some (c, Rss.Sarg.Lt, v), `Hi when c.tab = tab && c.col = col ->
-           Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = false }
-         | Some (c, Rss.Sarg.Le, v), `Hi when c.tab = tab && c.col = col ->
-           Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = true }
-         | _ ->
-           (* ? placeholders as range bounds *)
-           (match f.pred, dir with
-            | Semant.P_cmp (Semant.E_col c, (Ast.Gt | Ast.Ge as op), Semant.E_param i), `Lo
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_param i;
-                     r_inclusive = (op = Ast.Ge) }
-            | Semant.P_cmp (Semant.E_col c, (Ast.Lt | Ast.Le as op), Semant.E_param i), `Hi
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_param i;
-                     r_inclusive = (op = Ast.Le) }
-            (* BETWEEN with a placeholder bound (the all-const form is the
-               [f.between] case above); the const side of a mixed BETWEEN
-               still provides its bound *)
-            | Semant.P_between (Semant.E_col c, Semant.E_param i, _), `Lo
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_param i; r_inclusive = true }
-            | Semant.P_between (Semant.E_col c, Semant.E_const v, _), `Lo
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = true }
-            | Semant.P_between (Semant.E_col c, _, Semant.E_param i), `Hi
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_param i; r_inclusive = true }
-            | Semant.P_between (Semant.E_col c, _, Semant.E_const v), `Hi
-              when c.Semant.tab = tab && c.Semant.col = col ->
-              Some { r_factor = f; r_value = Plan.Bv_const v; r_inclusive = true }
-            | _ -> None)))
+      let bound ~inclusive e =
+        Option.map
+          (fun v -> { r_factor = f; r_value = v; r_inclusive = inclusive })
+          (opening_value e)
+      in
+      let cmp op e =
+        match op, dir with
+        | (Ast.Gt | Ast.Ge), `Lo | (Ast.Lt | Ast.Le), `Hi ->
+          bound ~inclusive:(op = Ast.Ge || op = Ast.Le) e
+        | _ -> None
+      in
+      match f.pred, dir with
+      | Semant.P_cmp (Semant.E_col c, op, e), _ when on_col ~tab ~col c -> cmp op e
+      | Semant.P_cmp (e, op, Semant.E_col c), _ when on_col ~tab ~col c ->
+        cmp (flip op) e
+      | Semant.P_between (Semant.E_col c, lo, _), `Lo when on_col ~tab ~col c ->
+        bound ~inclusive:true lo
+      | Semant.P_between (Semant.E_col c, _, hi), `Hi when on_col ~tab ~col c ->
+        bound ~inclusive:true hi
+      | _ -> None)
     app
 
 type index_match = {

@@ -17,8 +17,8 @@ let rec blocks_of_pred (p : Semant.spred) acc =
 (* Shape eligibility for the parallelization post-pass: a left-deep
    nested-loop chain over scan leaves whose leftmost leaf is a segment scan
    or an ascending index scan with context-free bounds (constants and
-   parameters — an outer-reference bound cannot be resolved at partition
-   time). Merge joins and sorts below the root synchronize two streams or
+   parameters — an outer-relation or correlation bound cannot be resolved
+   at partition time). Merge joins and sorts below the root synchronize two streams or
    reorder tuples, so slicing their leftmost input does not slice their
    output; they stay serial. *)
 let rec parallelizable (p : Plan.t) =
@@ -30,7 +30,7 @@ let rec parallelizable (p : Plan.t) =
       | Some (b : Plan.key_bound) ->
         List.for_all
           (function
-            | Plan.Bv_outer _ -> false
+            | Plan.Bv_outer _ | Plan.Bv_corr _ -> false
             | Plan.Bv_const _ | Plan.Bv_param _ -> true)
           b.Plan.values
     in

@@ -2,6 +2,7 @@ type bound_value =
   | Bv_const of Rel.Value.t
   | Bv_param of int
   | Bv_outer of Semant.col_ref
+  | Bv_corr of { levels_up : int; tab : int; col : int }
 
 type key_bound = {
   values : bound_value list;
@@ -67,6 +68,8 @@ let bound_value_str ~names = function
   | Bv_const v -> Rel.Value.to_string v
   | Bv_param i -> Printf.sprintf "?%d" i
   | Bv_outer (c : Semant.col_ref) -> Printf.sprintf "%s.c%d" (names c.tab) c.col
+  | Bv_corr { levels_up; tab; col } ->
+    Printf.sprintf "outer[%d].t%d.c%d" levels_up tab col
 
 let access_str ~names tab = function
   | Seg_scan -> Printf.sprintf "Seg(%s)" (names tab)

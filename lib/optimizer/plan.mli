@@ -16,6 +16,11 @@ type bound_value =
       (** value taken from the current tuple of an already-joined (outer)
           relation — how a join predicate becomes an index lookup key inside
           a nested-loop join *)
+  | Bv_corr of { levels_up : int; tab : int; col : int }
+      (** a correlation value: the column of the enclosing block's current
+          candidate tuple ([levels_up] blocks out, as {!Semant.E_outer}).
+          Constant for one evaluation of the subquery (section 6), so it
+          keys an index scan like a [?] placeholder *)
 
 type key_bound = {
   values : bound_value list;  (** prefix of the index key *)

@@ -5,7 +5,8 @@ let clamp f = if f < 0. then 0. else if f > 1. then 1. else f
 (* A comparison operand whose value is known at access path selection: a
    literal, or a parameter slot whose extracted literal the plan-cache path
    lets us peek at (histograms on only — the paper's estimates are
-   value-independent). *)
+   value-independent). A correlation value is a constant too, but an
+   unknown one: it gets the estimates of an unpeeked parameter. *)
 let const_of ctx = function
   | E_const v -> Some v
   | E_param i -> Ctx.param_value ctx i
@@ -130,20 +131,20 @@ let between_selectivity ctx block c lo hi =
 let rec factor ctx block (p : spred) =
   let f =
     match p with
-    | P_cmp (E_col c, Ast.Eq, ((E_const _ | E_param _) as e))
-    | P_cmp (((E_const _ | E_param _) as e), Ast.Eq, E_col c) ->
+    | P_cmp (E_col c, Ast.Eq, ((E_const _ | E_param _ | E_outer _) as e))
+    | P_cmp (((E_const _ | E_param _ | E_outer _) as e), Ast.Eq, E_col c) ->
       eq_selectivity ctx block c (const_of ctx e)
-    | P_cmp (E_col c, Ast.Ne, ((E_const _ | E_param _) as e))
-    | P_cmp (((E_const _ | E_param _) as e), Ast.Ne, E_col c) ->
+    | P_cmp (E_col c, Ast.Ne, ((E_const _ | E_param _ | E_outer _) as e))
+    | P_cmp (((E_const _ | E_param _ | E_outer _) as e), Ast.Ne, E_col c) ->
       ne_selectivity ctx block c (const_of ctx e)
     | P_cmp (E_col c1, Ast.Eq, E_col c2) -> col_eq_col ctx block c1 c2
     | P_cmp (E_col c1, Ast.Ne, E_col c2) -> 1. -. col_eq_col ctx block c1 c2
     | P_cmp
         (E_col c, ((Ast.Gt | Ast.Ge | Ast.Lt | Ast.Le) as op),
-         ((E_const _ | E_param _) as e)) ->
+         ((E_const _ | E_param _ | E_outer _) as e)) ->
       range_selectivity ctx block c op (const_of ctx e)
     | P_cmp
-        (((E_const _ | E_param _) as e),
+        (((E_const _ | E_param _ | E_outer _) as e),
          ((Ast.Gt | Ast.Ge | Ast.Lt | Ast.Le) as op), E_col c) ->
       let flipped =
         match op with
@@ -156,8 +157,9 @@ let rec factor ctx block (p : spred) =
     | P_cmp (_, Ast.Ne, _) -> 1. -. (1. /. 10.)
     | P_cmp (_, (Ast.Gt | Ast.Ge | Ast.Lt | Ast.Le), _) -> 1. /. 3.
     | P_between
-        (E_col c, ((E_const _ | E_param _) as l), ((E_const _ | E_param _) as h))
-      ->
+        ( E_col c,
+          ((E_const _ | E_param _ | E_outer _) as l),
+          ((E_const _ | E_param _ | E_outer _) as h) ) ->
       between_selectivity ctx block c (const_of ctx l) (const_of ctx h)
     | P_between _ -> 1. /. 4.
     | P_in_list (e, vs) ->

@@ -110,6 +110,7 @@ let as_worker t f =
   Fun.protect
     ~finally:(fun () ->
       Domain.DLS.set scratch_key None;
+      Buffer_pool.flush_local t.pool;
       Mutex.lock t.latch;
       Counters.add scratch ~into:t.counters;
       Mutex.unlock t.latch)

@@ -60,7 +60,8 @@ val evict_all : t -> unit
 val set_shared : t -> bool -> unit
 (** Multi-session (server) mode: keep the buffer pool latched even outside
     parallel query phases, since concurrent reader statements touch it from
-    several domains. Composes with {!enter_parallel} nesting. *)
+    several domains. Composes with {!enter_parallel} nesting. Latched hits
+    stay lock-free; see {!Buffer_pool.set_latched}. *)
 
 val enter_parallel : t -> unit
 (** Bracket a parallel query phase (matched by {!exit_parallel}; nests). On
@@ -78,6 +79,7 @@ val exit_parallel : t -> unit
 val as_worker : t -> (unit -> 'a) -> 'a
 (** Run [f] with this domain's I/O accounting redirected to a fresh
     domain-local scratch {!Counters.t}, folded into {!counters} under a latch
-    when [f] returns (normally or not). Wrap every task submitted to
+    when [f] returns (normally or not). The domain's queued buffer-pool
+    promotions are replayed at the same point. Wrap every task submitted to
     {!Domain_pool} in this so per-domain counts sum exactly to the serial
     totals. *)

@@ -6,8 +6,6 @@ type factor = {
   sarg : (int * Rss.Sarg.t) option;
   sargable_at_open : bool;
   equi_join : (col_ref * col_ref) option;
-  simple : (col_ref * Rss.Sarg.op * Rel.Value.t) option;
-  between : (col_ref * Rel.Value.t * Rel.Value.t) option;
   has_subquery : bool;
 }
 
@@ -105,16 +103,21 @@ let rec sarg_of ~tab p : Rss.Sarg.t option =
   | P_cmp _ | P_between _ | P_in_list _ | P_in_sub _ | P_cmp_sub _ | P_not _ ->
     None
 
-(* Sargability with ? placeholders: the value is constant for the duration
-   of an execution (bound at OPEN), so the predicate still becomes a search
-   argument; only the static Sarg.t cannot be prebuilt. *)
+(* Sargability with ? placeholders and correlation values: the value is
+   constant for the duration of one opening (a placeholder is bound at OPEN;
+   section 6 treats a correlation value as a constant for each evaluation
+   of the subquery), so the predicate still becomes a search argument; only
+   the static Sarg.t cannot be prebuilt. *)
 let rec param_sargable ~tab (p : spred) =
-  let const_or_param = function E_const _ | E_param _ -> true | _ -> false in
+  let fixed_at_open = function
+    | E_const _ | E_param _ | E_outer _ -> true
+    | _ -> false
+  in
   match p with
-  | P_cmp (E_col c, _, v) when c.tab = tab -> const_or_param v
-  | P_cmp (v, _, E_col c) when c.tab = tab -> const_or_param v
+  | P_cmp (E_col c, _, v) when c.tab = tab -> fixed_at_open v
+  | P_cmp (v, _, E_col c) when c.tab = tab -> fixed_at_open v
   | P_between (E_col c, lo, hi) when c.tab = tab ->
-    const_or_param lo && const_or_param hi
+    fixed_at_open lo && fixed_at_open hi
   | P_in_list (E_col c, _) when c.tab = tab -> true
   | P_or (a, b) | P_and (a, b) -> param_sargable ~tab a && param_sargable ~tab b
   | P_cmp _ | P_between _ | P_in_list _ | P_in_sub _ | P_cmp_sub _ | P_not _ ->
@@ -139,31 +142,11 @@ let classify _block p =
     | P_cmp (E_col a, Ast.Eq, E_col b) when a.tab <> b.tab -> Some (a, b)
     | _ -> None
   in
-  let simple =
-    match p with
-    | P_cmp (E_col c, op, E_const v) ->
-      Some (c, sarg_op_of_comparison op, v)
-    | P_cmp (E_const v, op, E_col c) ->
-      let flip = function
-        | Ast.Eq -> Rss.Sarg.Eq | Ast.Ne -> Rss.Sarg.Ne
-        | Ast.Lt -> Rss.Sarg.Gt | Ast.Le -> Rss.Sarg.Ge
-        | Ast.Gt -> Rss.Sarg.Lt | Ast.Ge -> Rss.Sarg.Le
-      in
-      Some (c, flip op, v)
-    | _ -> None
-  in
-  let between =
-    match p with
-    | P_between (E_col c, E_const lo, E_const hi) -> Some (c, lo, hi)
-    | _ -> None
-  in
   { pred = p;
     tables;
     sarg;
     sargable_at_open;
     equi_join;
-    simple;
-    between;
     has_subquery = pred_has_subquery p }
 
 let factors_of_block block =

@@ -17,16 +17,11 @@ type factor = {
       (** when statically sargable: the single table it restricts and the
           DNF search argument over that relation's column positions *)
   sargable_at_open : bool;
-      (** sargable once [?] placeholders are bound (a superset of
-          [sarg <> None]); such factors filter inside the RSS at execution *)
+      (** sargable once [?] placeholders are bound and correlation values
+          fixed (a superset of [sarg <> None]); such factors filter inside
+          the RSS at execution *)
   equi_join : (Semant.col_ref * Semant.col_ref) option;
       (** when the factor is T1.c1 = T2.c2 with distinct tables *)
-  simple : (Semant.col_ref * Rss.Sarg.op * Rel.Value.t) option;
-      (** when the factor is a single column-op-constant predicate (the form
-          index matching works from) *)
-  between : (Semant.col_ref * Rel.Value.t * Rel.Value.t) option;
-      (** when the factor is column BETWEEN const AND const: one factor
-          supplying both index bounds, with TABLE 1's own selectivity *)
   has_subquery : bool;
 }
 

@@ -93,6 +93,14 @@ let corpus =
     ( "correlated scalar subquery",
       two_tables,
       "SELECT Q0.c0 FROM t0 Q0 WHERE Q0.c0 >= (SELECT MIN(S0.c1) FROM t1 S0 WHERE S0.c0 = Q0.c0)" );
+    ( "correlation value as an index key, NULLs on both sides",
+      null_heavy,
+      "SELECT Q0.c1, Q0.c2 FROM t0 Q0 WHERE Q0.c1 >= (SELECT MIN(S0.c1) FROM t0 S0 \
+       WHERE S0.c0 = Q0.c0 AND S0.c2 = 'v0')" );
+    ( "correlation value as an index range bound",
+      null_heavy,
+      "SELECT Q0.c1 FROM t0 Q0 WHERE Q0.c1 IN (SELECT S0.c1 FROM t0 S0 \
+       WHERE S0.c0 <= Q0.c0)" );
     ( "scalar aggregate over a join",
       two_tables,
       "SELECT COUNT(*), SUM(Q1.c1), MAX(Q0.c1) FROM t0 Q0, t1 Q1 WHERE Q0.c0 = Q1.c0" );

@@ -106,6 +106,95 @@ let prop_lru_model =
           Rss.Buffer_pool.touch pool pg = expected)
         accesses)
 
+(* Latched, driven from one domain, the pool must behave exactly like the
+   unlatched one: same hit/miss per touch and same membership after every
+   step (hence the same eviction order), across cold restarts and latch
+   transitions. Touches mostly stay in a hot set that fits the pool, so long
+   runs of hits overflow the promotion buffer before the next miss. *)
+type op = Touch of int | Evict_all | Toggle_latch
+
+let ops_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun cap ->
+    let op =
+      frequency
+        [ (150, map (fun i -> Touch i) (int_bound (cap - 1)));
+          (3, map (fun i -> Touch i) (int_bound 11));
+          (1, return Evict_all);
+          (1, return Toggle_latch) ]
+    in
+    map (fun ops -> (cap, ops)) (list_size (int_range 0 1500) op))
+
+let prop_latched_single_domain_exact =
+  QCheck.Test.make ~name:"latched single domain = unlatched" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d, %d ops" cap (List.length ops))
+       ops_gen)
+    (fun (cap, ops) ->
+      let plain = Rss.Buffer_pool.create ~capacity:cap in
+      let latched = Rss.Buffer_pool.create ~capacity:cap in
+      Rss.Buffer_pool.set_latched latched true;
+      let on = ref true in
+      let same_members () =
+        List.for_all
+          (fun i ->
+            Rss.Buffer_pool.contains plain i = Rss.Buffer_pool.contains latched i)
+          (List.init 12 Fun.id)
+      in
+      let ok =
+        List.for_all
+          (fun op ->
+            (match op with
+             | Touch i ->
+               Rss.Buffer_pool.touch plain i = Rss.Buffer_pool.touch latched i
+             | Evict_all ->
+               Rss.Buffer_pool.evict_all plain;
+               Rss.Buffer_pool.evict_all latched;
+               true
+             | Toggle_latch ->
+               on := not !on;
+               Rss.Buffer_pool.set_latched latched !on;
+               true)
+            && same_members ())
+          ops
+      in
+      Rss.Buffer_pool.check latched;
+      ok)
+
+(* Two domains hammer one latched pool: afterwards the structure is intact
+   and every touch was counted exactly once. *)
+let test_two_domain_stress () =
+  let cap = 8 and n = 20_000 in
+  let pool = Rss.Buffer_pool.create ~capacity:cap in
+  Rss.Buffer_pool.set_latched pool true;
+  let worker seed () =
+    let r = Random.State.make [| seed |] in
+    let hits = ref 0 and misses = ref 0 in
+    for _ = 1 to n do
+      (* a hot set that mostly fits, plus a cold tail that forces evictions *)
+      let id =
+        if Random.State.int r 4 = 0 then 8 + Random.State.int r 40
+        else Random.State.int r 6
+      in
+      match Rss.Buffer_pool.touch pool id with
+      | `Hit -> incr hits
+      | `Miss -> incr misses
+    done;
+    Rss.Buffer_pool.flush_local pool;
+    (!hits, !misses)
+  in
+  let d = Domain.spawn (worker 1) in
+  let h0, m0 = worker 2 () in
+  let h1, m1 = Domain.join d in
+  Rss.Buffer_pool.check pool;
+  Alcotest.(check bool) "resident <= capacity" true
+    (Rss.Buffer_pool.resident pool <= cap);
+  Alcotest.(check int) "hits + misses = touches" (2 * n) (h0 + m0 + h1 + m1);
+  Alcotest.(check bool) "both outcomes seen" true (h0 + h1 > 0 && m0 + m1 > 0);
+  Rss.Buffer_pool.set_latched pool false;
+  Rss.Buffer_pool.check pool
+
 let () =
   Alcotest.run "buffer_pager"
     [ ( "lru",
@@ -113,9 +202,12 @@ let () =
           Alcotest.test_case "recency order" `Quick test_lru_recency_order;
           Alcotest.test_case "capacity one" `Quick test_lru_capacity_one;
           Alcotest.test_case "evict all" `Quick test_evict_all;
-          Alcotest.test_case "bad capacity" `Quick test_bad_capacity ] );
+          Alcotest.test_case "bad capacity" `Quick test_bad_capacity;
+          Alcotest.test_case "two-domain stress" `Quick test_two_domain_stress ] );
       ( "pager",
         [ Alcotest.test_case "counters" `Quick test_pager_counters;
           Alcotest.test_case "diff and cost" `Quick test_counters_diff_cost;
           Alcotest.test_case "page id namespace" `Quick test_pager_page_id_namespace ] );
-      ("props", [ QCheck_alcotest.to_alcotest prop_lru_model ]) ]
+      ( "props",
+        [ QCheck_alcotest.to_alcotest prop_lru_model;
+          QCheck_alcotest.to_alcotest prop_latched_single_domain_exact ] ) ]

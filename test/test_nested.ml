@@ -172,6 +172,77 @@ let test_uncorrelated_subquery_with_own_join () =
      DEPARTMENT, EMPLOYEE WHERE DEPARTMENT.DNO = EMPLOYEE.DNO AND SALARY > \
      14800)"
 
+(* --- correlation values as index keys (section 6) ------------------------ *)
+
+(* EMP stored in DNO order under a clustered DNO index, departments of 50
+   employees (one of every 97 without a department), so one department is a
+   page or two while a segment scan of 4000 employees is dozens. *)
+let setup_emp ~rows =
+  let db = Database.create ~buffer_pages:16 () in
+  let cat = Database.catalog db in
+  let emp =
+    Catalog.create_relation cat ~name:"EMP"
+      ~schema:(schema [ "ENO"; "DNO"; "JOB"; "SAL" ])
+  in
+  for i = 0 to rows - 1 do
+    let dno = if i mod 97 = 0 then V.Null else V.Int (i / 50) in
+    ignore
+      (Catalog.insert_tuple cat emp
+         (T.make
+            [ V.Int i; dno; V.Int (i * 7 mod 10); V.Int (8000 + (i * 7919 mod 22000)) ]))
+  done;
+  ignore (Catalog.create_index cat ~name:"EMP_DNO" ~rel:emp ~columns:[ "DNO" ] ~clustered:true);
+  ignore (Catalog.create_index cat ~name:"EMP_JOB" ~rel:emp ~columns:[ "JOB" ] ~clustered:false);
+  Catalog.update_statistics cat;
+  db
+
+let outer_sql = "SELECT E.ENO, E.SAL FROM EMP E WHERE E.DNO BETWEEN 3 AND 5"
+
+let corr_sql =
+  outer_sql
+  ^ " AND E.SAL > (SELECT MIN(X.SAL) FROM EMP X WHERE X.DNO = E.DNO AND X.JOB = 2) \
+     ORDER BY E.ENO"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_correlation_index_key () =
+  (* small enough for the oracle, which re-scans the subquery's FROM list
+     for every outer tuple *)
+  let db = setup_emp ~rows:800 in
+  let r = Database.optimize db corr_sql in
+  let text = Explain.plan r in
+  if not (contains text "Idx(X:EMP_DNO[outer[1].t0.c1..outer[1].t0.c1])") then
+    Alcotest.failf "subquery does not scan EMP_DNO by the correlation value:\n%s" text;
+  check_against_naive db corr_sql;
+  (* NULL correlation values: the subquery is empty, MIN is NULL, and the
+     comparison is Unknown *)
+  check_against_naive db
+    "SELECT E.ENO FROM EMP E WHERE E.ENO < 300 AND E.SAL >= (SELECT MIN(X.SAL) \
+     FROM EMP X WHERE X.DNO = E.DNO)";
+  (* a correlation value as a range bound *)
+  check_against_naive db
+    "SELECT E.ENO FROM EMP E WHERE E.ENO < 160 AND E.SAL > (SELECT MAX(X.SAL) \
+     FROM EMP X WHERE X.DNO < E.DNO)"
+
+let test_correlation_fetches_per_eval () =
+  let db = setup_emp ~rows:4000 in
+  let pager = Database.pager db in
+  let cold sql =
+    let r = Database.optimize db sql in
+    Rss.Pager.evict_all pager;
+    let (_ : Executor.output), c = Executor.run_measured (Database.catalog db) r in
+    c.Rss.Counters.page_fetches
+  in
+  let stats = stats_for db corr_sql in
+  (* three distinct DNO values among the candidates: one evaluation each *)
+  Alcotest.(check int) "evaluated per distinct DNO" 3 stats.Executor.subquery_evals;
+  let per_eval = (cold corr_sql - cold outer_sql) / stats.Executor.subquery_evals in
+  if per_eval > 10 then
+    Alcotest.failf "%d page fetches per subquery evaluation (want <= 10)" per_eval
+
 let () =
   Alcotest.run "nested"
     [ ( "evaluation",
@@ -184,6 +255,11 @@ let () =
           Alcotest.test_case "subquery inside OR" `Quick test_subquery_inside_or_factor;
           Alcotest.test_case "subquery with join" `Quick
             test_uncorrelated_subquery_with_own_join ] );
+      ( "correlation keys",
+        [ Alcotest.test_case "index-matched correlation value" `Quick
+            test_correlation_index_key;
+          Alcotest.test_case "page fetches per evaluation" `Quick
+            test_correlation_fetches_per_eval ] );
       ( "semantics",
         [ Alcotest.test_case "multi-row scalar rejected" `Quick
             test_scalar_subquery_multi_row_rejected;

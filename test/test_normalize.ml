@@ -85,8 +85,13 @@ let test_between_stays_whole () =
   let fs = N.boolean_factors (where cat "SELECT A FROM T WHERE A BETWEEN 2 AND 8") in
   Alcotest.(check int) "one factor" 1 (List.length fs);
   (match N.factors_of_block (resolve cat "SELECT A FROM T WHERE A BETWEEN 2 AND 8") with
-   | [ { N.between = Some ({ S.tab = 0; col = 0 }, V.Int 2, V.Int 8); _ } ] -> ()
-   | _ -> Alcotest.fail "between field");
+   | [ { N.sarg =
+           Some
+             ( 0,
+               [ [ { Rss.Sarg.col = 0; op = Rss.Sarg.Ge; value = V.Int 2 };
+                   { Rss.Sarg.col = 0; op = Rss.Sarg.Le; value = V.Int 8 } ] ] );
+         _ } ] -> ()
+   | _ -> Alcotest.fail "between sarg");
   (* a negated BETWEEN opens into strict comparisons *)
   let fs2 =
     N.boolean_factors (where cat "SELECT A FROM T WHERE NOT (A BETWEEN 2 AND 8)")
@@ -167,10 +172,7 @@ let test_sargable_local () =
   Alcotest.(check (list int)) "tables" [ 0 ] f.N.tables;
   (match f.N.sarg with
    | Some (0, [ [ { Rss.Sarg.col = 0; op = Rss.Sarg.Eq; value = V.Int 5 } ] ]) -> ()
-   | _ -> Alcotest.fail "sarg shape");
-  (match f.N.simple with
-   | Some ({ S.tab = 0; col = 0 }, Rss.Sarg.Eq, V.Int 5) -> ()
-   | _ -> Alcotest.fail "simple shape")
+   | _ -> Alcotest.fail "sarg shape")
 
 let test_sargable_or_tree () =
   let cat = setup () in
@@ -178,14 +180,13 @@ let test_sargable_or_tree () =
   let f = classify_one cat "SELECT A FROM T WHERE A = 1 OR A > 8" in
   (match f.N.sarg with
    | Some (0, [ _; _ ]) -> ()
-   | _ -> Alcotest.fail "DNF sarg expected");
-  Alcotest.(check bool) "not simple" true (f.N.simple = None)
+   | _ -> Alcotest.fail "DNF sarg expected")
 
 let test_value_op_column_flipped () =
   let cat = setup () in
   let f = classify_one cat "SELECT A FROM T WHERE 5 < A" in
-  (match f.N.simple with
-   | Some ({ S.tab = 0; col = 0 }, Rss.Sarg.Gt, V.Int 5) -> ()
+  (match f.N.sarg with
+   | Some (0, [ [ { Rss.Sarg.col = 0; op = Rss.Sarg.Gt; value = V.Int 5 } ] ]) -> ()
    | _ -> Alcotest.fail "flip")
 
 let test_cross_table_or_not_sargable () =
@@ -225,7 +226,22 @@ let test_arith_not_sargable () =
   let cat = setup () in
   let f = classify_one cat "SELECT A FROM T WHERE A + 1 = 5" in
   Alcotest.(check bool) "not sargable" true (f.N.sarg = None);
-  Alcotest.(check bool) "not simple" true (f.N.simple = None)
+  Alcotest.(check bool) "not sargable at open" false f.N.sargable_at_open
+
+(* A correlation value is a constant for one evaluation of the subquery: the
+   inner factor is sargable at open (no static SARG), like a placeholder. *)
+let test_correlation_sargable_at_open () =
+  let cat = setup () in
+  let b = resolve cat "SELECT A FROM T WHERE B IN (SELECT D FROM U WHERE U.A = T.A)" in
+  match b.S.where with
+  | Some (S.P_in_sub { block; _ }) ->
+    (match N.factors_of_block block with
+     | [ f ] ->
+       Alcotest.(check (list int)) "inner table only" [ 0 ] f.N.tables;
+       Alcotest.(check bool) "no static sarg" true (f.N.sarg = None);
+       Alcotest.(check bool) "sargable at open" true f.N.sargable_at_open
+     | _ -> Alcotest.fail "one inner factor")
+  | _ -> Alcotest.fail "IN subquery expected"
 
 let () =
   Alcotest.run "normalize"
@@ -242,5 +258,7 @@ let () =
           Alcotest.test_case "cross-table OR" `Quick test_cross_table_or_not_sargable;
           Alcotest.test_case "equi join" `Quick test_equi_join_detection;
           Alcotest.test_case "subquery flag" `Quick test_subquery_factor_flag;
-          Alcotest.test_case "arithmetic not sargable" `Quick test_arith_not_sargable ] );
+          Alcotest.test_case "arithmetic not sargable" `Quick test_arith_not_sargable;
+          Alcotest.test_case "correlation sargable at open" `Quick
+            test_correlation_sargable_at_open ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_cnf_preserves_semantics ]) ]
