@@ -172,20 +172,6 @@ let mark_delete rel tid xid = Rss.Segment.set_xmax rel.segment tid xid
 (* Rollback of a delete-mark: the version was never deleted. *)
 let unmark_delete rel tid = Rss.Segment.set_xmax rel.segment tid 0
 
-let delete_tuples_returning t rel pred =
-  let victims = List.filter (fun (_, tup) -> pred tup) (scan_all rel) in
-  let idxs = indexes_on t rel in
-  List.iter
-    (fun (tid, tuple) ->
-      ignore (Rss.Segment.delete rel.segment tid);
-      List.iter
-        (fun idx -> ignore (Rss.Btree.delete idx.btree (key_of idx tuple) tid))
-        idxs)
-    victims;
-  victims
-
-let delete_tuples t rel pred = List.length (delete_tuples_returning t rel pred)
-
 let delete_tid t rel tid tuple =
   if Rss.Segment.delete rel.segment tid then begin
     List.iter

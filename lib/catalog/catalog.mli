@@ -107,15 +107,6 @@ val vacuum : t -> Rss.Mvcc.t -> int
     bump [stats_version] on relations that shrank. Returns the number of
     versions reclaimed. Caller holds the engine write latch. *)
 
-val delete_tuples : t -> relation -> (Rel.Tuple.t -> bool) -> int
-(** Delete every tuple satisfying the predicate, maintaining indexes;
-    returns the count. *)
-
-val delete_tuples_returning :
-  t -> relation -> (Rel.Tuple.t -> bool) -> (Rss.Tid.t * Rel.Tuple.t) list
-(** Like {!delete_tuples} but returns the deleted (TID, tuple) pairs — the
-    engine's transaction layer logs and undoes from them. *)
-
 val delete_tid : t -> relation -> Rss.Tid.t -> Rel.Tuple.t -> bool
 (** Delete the tuple at a known TID (index maintenance uses the supplied
     image); [false] when the slot was already dead. Used by rollback. *)

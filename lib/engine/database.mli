@@ -3,7 +3,8 @@
     and the CLI program against.
 
     DML is transactional: every INSERT/DELETE/UPDATE is logged to the
-    write-ahead log and covered by a relation-level exclusive lock. Without
+    write-ahead log; it holds its relation Shared and each tuple it deletes
+    or updates Exclusive until commit. Without
     an explicit BEGIN each statement auto-commits; BEGIN ... COMMIT/ROLLBACK
     groups statements, and ROLLBACK undoes their effects (storage and
     indexes) in reverse order. The log can be replayed with

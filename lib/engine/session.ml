@@ -152,9 +152,9 @@ let with_engine_read s f =
       Rss.Pager.with_counters (Engine.pager s.eng) s.counters f)
 
 (* The MVCC read view of the current statement: the active transaction's
-   snapshot, or a fresh statement snapshot. DML-internal victim SELECTs
-   call this after [with_txn] installed the transaction, so they read the
-   writer's own snapshot (and see its uncommitted writes). *)
+   snapshot, or a fresh statement snapshot. DML victim retrieval calls
+   this after [with_txn] installed the transaction, so it reads the
+   writer's own snapshot (and sees its uncommitted writes). *)
 let read_view s =
   let m = Engine.mvcc s.eng in
   let snap =
@@ -402,28 +402,22 @@ let dml_insert s txn (rel : Catalog.relation) tuple =
     (Rss.Wal.Insert { txn = txn.txn_id; rel_id = rel.Catalog.rel_id; tid; tuple });
   txn.undo <- Undo_insert (rel, tid, tuple) :: txn.undo
 
-(* Delete every version visible to the transaction's snapshot that
-   satisfies [pred]: lock the victim's tuple Exclusive (waiting out a
-   concurrent writer), then re-read the version. If its xmax is no longer
-   clear — or the slot was reclaimed and reused while we waited — the first
-   committer won and this statement fails with a serialization error
-   rather than silently double-deleting. The surviving victims are stamped
-   xmax = txn and logged; the heap slot and index entries stay for
-   concurrent snapshots (VACUUM reclaims them later). *)
-let dml_delete_where s txn (rel : Catalog.relation) pred =
+(* Delete the victims of an optimized single-relation block: drain them
+   through the plan under the transaction's snapshot, then lock each
+   victim's tuple Exclusive (waiting out a concurrent writer) and re-read
+   the version. If its xmax is no longer clear — or the slot was reclaimed
+   and reused while we waited — the first committer won and this statement
+   fails with a serialization error rather than silently double-deleting.
+   The surviving victims are stamped xmax = txn and logged; the heap slot
+   and index entries stay for concurrent snapshots (VACUUM reclaims them
+   later). *)
+let dml_delete s txn (rel : Catalog.relation) r =
   acquire_rel_lock s txn.txn_id rel Rss.Lock_table.Shared;
-  let m = Engine.mvcc s.eng in
-  let v = Rss.Mvcc.view m txn.snap in
   let victims =
-    List.filter_map
-      (fun (tid, tuple, xmin, xmax) ->
-        if Rss.Mvcc.view_visible v ~xmin ~xmax && pred tuple then
-          Some (tid, tuple)
-        else None)
-      (Catalog.scan_versions rel)
+    wrap (fun () -> Executor.victims ~snap:(read_view s) (Engine.catalog s.eng) r)
   in
   List.iter
-    (fun (tid, tuple) ->
+    (fun (tid, tuple, _) ->
       acquire_tuple_x s txn.txn_id rel tid;
       (match Rss.Segment.fetch_unaccounted_v rel.Catalog.segment tid with
        | Some (rid, tuple', _, 0)
@@ -479,91 +473,52 @@ let optimize_i ?ctx s sql = optimize_block ?ctx s (resolve_i s sql)
 let run_plan_i s r =
   wrap (fun () -> Executor.run ~snap:(read_view s) (Engine.catalog s.eng) r)
 
-let query_block s block = run_plan_i s (optimize_block s block)
-
-let select_star_block s (rel : Catalog.relation) where =
-  let q =
-    { Ast.select = [ Ast.Star ];
-      from = [ (rel.Catalog.rel_name, None) ];
-      where;
-      group_by = [];
-      order_by = [] }
+(* UPDATE and DELETE retrieve their victims as one single-relation query
+   block, SELECT <SET expressions | *> FROM rel WHERE <where>, optimized like
+   any other (the paper's "treated similarly") — serially, so the plan's
+   leaf scan is the victim cursor. *)
+let dml_plan s (rel : Catalog.relation) select where =
+  let block =
+    resolve_query s
+      { Ast.select; from = [ (rel.Catalog.rel_name, None) ]; where;
+        group_by = []; order_by = [] }
   in
-  resolve_query s q
+  optimize_block ~ctx:{ (ctx s) with Ctx.max_dop = 1 } s block
 
-(* DELETE: run SELECT * with the same predicate, then delete every stored
-   tuple value-equal to a result row. The predicate is a deterministic
-   function of the tuple's values, so value equality identifies exactly the
-   qualifying tuples (duplicates qualify together). *)
-let delete_where s txn (rel : Catalog.relation) where =
-  match where with
-  | None -> List.length (dml_delete_where s txn rel (fun _ -> true))
-  | Some _ ->
-    let out = query_block s (select_star_block s rel where) in
-    List.length
-      (dml_delete_where s txn rel (fun tuple ->
-           List.exists (Rel.Tuple.equal tuple) out.Executor.rows))
+let delete_where s txn rel where =
+  List.length (dml_delete s txn rel (dml_plan s rel [ Ast.Star ] where))
 
-(* UPDATE: resolve the SET expressions against the table, identify the
-   qualifying tuples exactly as DELETE does, then delete each victim and
-   insert its updated image (indexes follow automatically). Victims are
-   collected before any re-insertion, so updated rows cannot requalify
-   (no Halloween problem). *)
+(* UPDATE: delete each victim and insert its updated image (indexes follow
+   automatically), the new values being the block's select list evaluated
+   over the victim. *)
 let update_where s txn (rel : Catalog.relation) sets where =
-  let schema = rel.Catalog.schema in
-  let set_query =
-    { Ast.select = List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets;
-      from = [ (rel.Catalog.rel_name, None) ];
-      where = None;
-      group_by = [];
-      order_by = [] }
+  let r =
+    dml_plan s rel (List.map (fun (_, e) -> Ast.Sel_expr (e, None)) sets) where
   in
-  let set_block = resolve_query s set_query in
+  (* each assignment's column position, type-checked against its value *)
   let targets =
-    List.map
-      (fun (col, _) ->
+    List.map2
+      (fun (col, _) (e, _) ->
+        let schema = rel.Catalog.schema in
         match Rel.Schema.index_of schema col with
-        | Some i -> i
-        | None -> err "no column %s in %s" col rel.Catalog.rel_name)
-      sets
+        | None -> err "no column %s in %s" col rel.Catalog.rel_name
+        | Some pos ->
+          (match
+             Semant.type_of_expr r.Optimizer.block e,
+             (Rel.Schema.column schema pos).Rel.Schema.ty
+           with
+           | None, _ | Some Rel.Value.Tstr, Rel.Value.Tstr
+           | Some (Rel.Value.Tint | Rel.Value.Tfloat), (Rel.Value.Tint | Rel.Value.Tfloat)
+             -> pos
+           | Some _, _ -> err "type mismatch assigning to %s" col))
+      sets r.Optimizer.block.Semant.select
   in
-  (* type compatibility of each assignment *)
-  List.iteri
-    (fun i (e, _) ->
-      let target_ty = (Rel.Schema.column schema (List.nth targets i)).Rel.Schema.ty in
-      match Semant.type_of_expr set_block e, target_ty with
-      | None, _ -> ()
-      | Some Rel.Value.Tstr, Rel.Value.Tstr -> ()
-      | Some (Rel.Value.Tint | Rel.Value.Tfloat), (Rel.Value.Tint | Rel.Value.Tfloat)
-        -> ()
-      | Some _, _ ->
-        err "type mismatch assigning to %s" (fst (List.nth sets i)))
-    set_block.Semant.select;
-  let layout = Layout.of_tables set_block [ 0 ] in
-  let env =
-    { Eval.blocks = []; params = [||];
-      subquery = (fun _ _ -> err "subquery in SET") }
-  in
-  let updated_image tuple =
-    let news =
-      List.map
-        (fun (e, _) -> Eval.expr env { Eval.layout; tuple } e)
-        set_block.Semant.select
-    in
-    let out = Array.copy tuple in
-    List.iteri (fun i pos -> out.(pos) <- List.nth news i) targets;
-    out
-  in
-  let victims =
-    match where with
-    | None -> dml_delete_where s txn rel (fun _ -> true)
-    | Some _ ->
-      let out = query_block s (select_star_block s rel where) in
-      dml_delete_where s txn rel (fun tuple ->
-          List.exists (Rel.Tuple.equal tuple) out.Executor.rows)
-  in
+  let victims = dml_delete s txn rel r in
   List.iter
-    (fun (_, tuple) -> dml_insert s txn rel (updated_image tuple))
+    (fun (_, tuple, news) ->
+      let out = Array.copy tuple in
+      List.iteri (fun i pos -> out.(pos) <- news.(i)) targets;
+      dml_insert s txn rel out)
     victims;
   List.length victims
 
@@ -645,7 +600,7 @@ let query_cached ?text s q =
   let cache = Engine.plan_cache s.eng in
   let fp = if Plan_cache.enabled cache then Normalize.fingerprint q else None in
   match fp with
-  | None -> query_block s (resolve_query s q)
+  | None -> run_plan_i s (optimize_block s (resolve_query s q))
   | Some (key, canon_q, values) ->
     let full_key = compose_key s key in
     let c = Rss.Pager.counters (Engine.pager s.eng) in

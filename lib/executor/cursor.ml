@@ -18,6 +18,14 @@ let residual_filter ~compiled env layout preds : Rel.Tuple.t -> bool =
     else fun tuple ->
       List.for_all (Eval.pred env { Eval.layout; tuple }) preds
 
+let filter keep inner =
+  let rec pull () =
+    match inner () with
+    | None -> None
+    | Some x as r -> if keep x then r else pull ()
+  in
+  pull
+
 (* [partition], when given, restricts the leftmost scan of the plan to one
    slice of a [Plan.Exchange] fan-out; it threads through nested-loop outers
    down to the leaf scan. *)
@@ -25,8 +33,11 @@ let rec open_plan catalog block (env : Eval.env) ?(compiled = true)
     ?partition ?snap ~join (p : Plan.t) : t =
   match p.Plan.node with
   | Plan.Scan { tab; access; sargs; residual } ->
-    open_scan catalog block env ~compiled ~partition ~snap ~join ~tab ~access
-      ~sargs ~residual
+    let scan =
+      open_scan block env ~compiled ~partition ~snap ~join ~tab ~access ~sargs
+        ~residual
+    in
+    fun () -> (match scan () with Some (_tid, tuple) -> Some tuple | None -> None)
   | Plan.Nl_join { outer; inner } ->
     (match join with
      | Some _ -> invalid_arg "Cursor: join node cannot itself be a join inner"
@@ -44,17 +55,12 @@ let rec open_plan catalog block (env : Eval.env) ?(compiled = true)
      | Some _ -> invalid_arg "Cursor: exchange cannot be a join inner"
      | None -> open_exchange catalog block env ~compiled ~snap ~input ~dop)
   | Plan.Filter { input; preds } ->
-    let inner = open_plan catalog block env ~compiled ?snap ~join input in
-    let layout = layout_of block input in
-    let keep = residual_filter ~compiled env layout preds in
-    let rec pull () =
-      match inner () with
-      | None -> None
-      | Some tuple -> if keep tuple then Some tuple else pull ()
-    in
-    pull
+    let keep = residual_filter ~compiled env (layout_of block input) preds in
+    filter keep (open_plan catalog block env ~compiled ?snap ~join input)
 
-and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
+(* The leaf scan's cursor yields (TID, tuple): [open_plan] keeps the tuple,
+   [open_tids] the pair. *)
+and open_scan block env ~compiled ~partition ~snap ~join ~tab ~access
     ~sargs ~residual =
   let tr = List.nth block.Semant.tables tab in
   let rel = tr.Semant.rel in
@@ -112,13 +118,13 @@ and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
     let rec pull () =
       match Rss.Scan.next scan with
       | None -> None
-      | Some (_tid, tuple) ->
+      | Some (_tid, tuple) as r ->
         if
           keep_pair outer_tuple tuple
           && (match keep_sub with
               | None -> true
               | Some k -> k (Rel.Tuple.concat outer_tuple tuple))
-        then Some tuple
+        then r
         else pull ()
     in
     pull
@@ -132,13 +138,13 @@ and open_scan _catalog block env ~compiled ~partition ~snap ~join ~tab ~access
     let rec pull () =
       match Rss.Scan.next scan with
       | None -> None
-      | Some (_tid, tuple) ->
+      | Some (_tid, tuple) as r ->
         let combined =
           match join with
           | Some f -> Rel.Tuple.concat f.Eval.tuple tuple
           | None -> tuple
         in
-        if keep combined then Some tuple else pull ()
+        if keep combined then r else pull ()
     in
     pull
 
@@ -331,3 +337,14 @@ and open_exchange catalog block env ~compiled ~snap ~input ~dop =
               ~join:None input)
       in
       g.Parallel.next
+
+let rec open_tids block env ?snap (p : Plan.t) =
+  match p.Plan.node with
+  | Plan.Scan { tab; access; sargs; residual } ->
+    open_scan block env ~compiled:true ~partition:None ~snap ~join:None ~tab
+      ~access ~sargs ~residual
+  | Plan.Filter { input; preds } ->
+    let keep = residual_filter ~compiled:true env (layout_of block input) preds in
+    filter (fun (_tid, tuple) -> keep tuple) (open_tids block env ?snap input)
+  | Plan.Nl_join _ | Plan.Merge_join _ | Plan.Sort _ | Plan.Exchange _ ->
+    invalid_arg "Cursor.open_tids: not a single-relation scan plan"

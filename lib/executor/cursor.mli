@@ -43,4 +43,15 @@ val open_plan :
 val layout_of : Semant.block -> Plan.t -> Layout.t
 (** Layout of the composite tuples the plan produces. *)
 
-val drain : t -> Rel.Tuple.t list
+val open_tids :
+  Semant.block ->
+  Eval.env ->
+  ?snap:Rss.Mvcc.view ->
+  Plan.t ->
+  unit ->
+  (Rss.Tid.t * Rel.Tuple.t) option
+(** The leaf scan's (TID, tuple) pairs of a single-relation DML plan: a
+    [Scan], or the [Filter] the optimizer puts over one for subquery and
+    constant factors. Compiled; [Invalid_argument] on any other shape. *)
+
+val drain : (unit -> 'a option) -> 'a list

@@ -90,13 +90,14 @@ let cache_for st block =
     st.caches := (block, tbl) :: !(st.caches);
     tbl
 
-let rec run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
+let rec env_of st (r : Optimizer.result) blocks_stack =
+  { Eval.blocks = blocks_stack;
+    params = st.params;
+    subquery = (fun env b -> eval_subquery st r env b) }
+
+and run_block st (r : Optimizer.result) (blocks_stack : Eval.frame list) =
   let block = r.Optimizer.block in
-  let env =
-    { Eval.blocks = blocks_stack;
-      params = st.params;
-      subquery = (fun env b -> eval_subquery st r env b) }
-  in
+  let env = env_of st r blocks_stack in
   let compiled = st.compiled in
   let open_cur () =
     Cursor.open_plan st.catalog block env ~compiled ?snap:st.snap ~join:None
@@ -218,17 +219,19 @@ and eval_subquery st (parent : Optimizer.result) (env : Eval.env) block =
     if st.use_cache then Hashtbl.replace tbl key vs;
     vs
 
-let run_with_stats ?(use_subquery_cache = true) ?(compiled = true) ?snap
-    ?(params = [||]) ?observe catalog (r : Optimizer.result) =
-  let st =
-    { catalog;
-      use_cache = use_subquery_cache;
-      compiled;
-      snap;
-      params;
-      stats = { subquery_calls = 0; subquery_evals = 0 };
-      caches = ref [] }
-  in
+let new_state ?(use_subquery_cache = true) ?(compiled = true) ?snap
+    ?(params = [||]) catalog =
+  { catalog;
+    use_cache = use_subquery_cache;
+    compiled;
+    snap;
+    params;
+    stats = { subquery_calls = 0; subquery_evals = 0 };
+    caches = ref [] }
+
+let run_with_stats ?use_subquery_cache ?compiled ?snap ?params ?observe catalog
+    (r : Optimizer.result) =
+  let st = new_state ?use_subquery_cache ?compiled ?snap ?params catalog in
   let rows = run_block st r [] in
   (* The root cursor is exhausted: the actual output cardinality is now
      known, and the engine's feedback loop compares it against the
@@ -250,3 +253,21 @@ let run_measured ?use_subquery_cache ?compiled ?snap ?params catalog r =
   let out = run ?use_subquery_cache ?compiled ?snap ?params catalog r in
   let after = Rss.Counters.snapshot counters in
   (out, Rss.Counters.diff ~after ~before)
+
+(* The retrieval of a single-relation UPDATE/DELETE block, run like any
+   query block's: the plan's leaf scan yields each qualifying tuple with its
+   TID, and the select list (an UPDATE's SET expressions) is evaluated over
+   it by closures compiled once. Drained before returning: the caller's
+   writes then cannot requalify a tuple (no Halloween problem), and its lock
+   waits never hold a cursor open. *)
+let victims ?snap catalog (r : Optimizer.result) =
+  let st = new_state ?snap catalog in
+  let block = r.Optimizer.block in
+  let env = env_of st r [] in
+  let layout = Cursor.layout_of block r.Optimizer.plan in
+  let fs =
+    List.map (fun (e, _) -> Eval.compile_expr env layout e) block.Semant.select
+  in
+  List.map
+    (fun (tid, tuple) -> (tid, tuple, Array.of_list (List.map (fun f -> f tuple) fs)))
+    (Cursor.drain (Cursor.open_tids block env ?snap r.Optimizer.plan))

@@ -65,3 +65,12 @@ val run_measured :
 (** Execute with the pager counters snapshotted around the run (the buffer
     pool is NOT cleared; callers wanting cold-cache numbers should call
     {!Rss.Pager.evict_all} first). *)
+
+val victims :
+  ?snap:Rss.Mvcc.view ->
+  Catalog.t ->
+  Optimizer.result ->
+  (Rss.Tid.t * Rel.Tuple.t * Rel.Tuple.t) list
+(** Every tuple a single-relation UPDATE/DELETE plan qualifies under
+    [snap], with its TID and the block's select list evaluated over it;
+    subqueries evaluate as in {!run}. Complete before the caller writes. *)

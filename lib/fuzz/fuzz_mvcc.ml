@@ -16,7 +16,7 @@
    or status-table machinery. The model predicts, per statement:
    - SELECT: the exact visible multiset under the session's snapshot
      (the transaction's, or a fresh statement snapshot);
-   - INSERT/DELETE: the row-count tag, or a write-write conflict — a
+   - INSERT/DELETE/UPDATE: the row-count tag, or a write-write conflict — a
      visible victim whose xmax is already stamped by another transaction
      is either an immediate lock error (stamper still active) or a
      first-committer-wins serialization error (stamper committed after
@@ -44,6 +44,7 @@ type op =
   | Rollback
   | Insert of string * V.t list list
   | Delete of string * (string * V.t) option
+  | Update of string * (string * V.t) option  (* SET c0 = c0 + 1 *)
   | Select of string * (string * V.t) option
   | Vacuum
 
@@ -74,6 +75,19 @@ let gen_pred rng (t : Fuzz_gen.table) =
     in
     Some (c.Fuzz_gen.cname, Fuzz_gen.lit rng c)
 
+(* Half the DML predicates are keyed on the table's first index, so victims
+   are also found through index scans. *)
+let gen_dml_pred rng (t : Fuzz_gen.table) =
+  match t.Fuzz_gen.indexes with
+  | (_, key :: _, _) :: _ when Random.State.bool rng ->
+    Some
+      ( key,
+        Fuzz_gen.lit rng
+          (List.find
+             (fun (c : Fuzz_gen.column) -> c.Fuzz_gen.cname = key)
+             t.Fuzz_gen.cols) )
+  | _ -> gen_pred rng t
+
 let gen_stream rng (s : Fuzz_gen.scenario) =
   let tables = Array.of_list s.Fuzz_gen.tables in
   let pick () = tables.(Random.State.int rng (Array.length tables)) in
@@ -82,20 +96,23 @@ let gen_stream rng (s : Fuzz_gen.scenario) =
   let ops = ref [] in
   for _ = 1 to nops do
     let op =
-      match Random.State.int rng 12 with
+      match Random.State.int rng 14 with
       | 0 | 1 when not !in_txn ->
         in_txn := true;
         Begin
       | 0 | 1 ->
         in_txn := false;
         if Random.State.int rng 3 = 0 then Rollback else Commit
-      | 2 | 3 | 4 | 5 ->
+      | 2 | 3 | 4 ->
         let t = pick () in
-        Delete (t.Fuzz_gen.tname, gen_pred rng t)
-      | 6 | 7 | 8 ->
+        Delete (t.Fuzz_gen.tname, gen_dml_pred rng t)
+      | 5 | 6 ->
+        let t = pick () in
+        Update (t.Fuzz_gen.tname, gen_dml_pred rng t)
+      | 7 | 8 | 9 ->
         let t = pick () in
         Insert (t.Fuzz_gen.tname, gen_rows rng t)
-      | 9 when Random.State.int rng 2 = 0 -> Vacuum
+      | 10 when Random.State.int rng 2 = 0 -> Vacuum
       | _ ->
         let t = pick () in
         Select (t.Fuzz_gen.tname, gen_pred rng t)
@@ -130,6 +147,7 @@ let op_sql = function
   | Rollback -> "ROLLBACK"
   | Insert (t, rows) -> "INSERT INTO " ^ t ^ " VALUES " ^ rows_sql rows
   | Delete (t, p) -> "DELETE FROM " ^ t ^ pred_sql p
+  | Update (t, p) -> "UPDATE " ^ t ^ " SET c0 = c0 + 1" ^ pred_sql p
   | Select (t, p) -> "SELECT * FROM " ^ t ^ pred_sql p
   | Vacuum -> "VACUUM"
 
@@ -190,6 +208,18 @@ let model_of_scenario (s : Fuzz_gen.scenario) =
               t.Fuzz_gen.rows)))
     s.Fuzz_gen.tables;
   m
+
+(* Versions [txn] creates: uncommitted until its commit stamps them. *)
+let m_create (txn : mtxn) tbl rows =
+  let vs =
+    List.map
+      (fun row ->
+        { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None; m_xmax = 0;
+          m_xmax_csn = None })
+      rows
+  in
+  tbl := !tbl @ vs;
+  txn.mt_ins <- vs @ txn.mt_ins
 
 let fresh_mtxn m =
   m.m_next_txn <- m.m_next_txn + 1;
@@ -276,6 +306,32 @@ type expected =
 let count_tag n verb =
   Printf.sprintf "%d row%s %s" n (if n = 1 then "" else "s") verb
 
+(* DELETE, or UPDATE as delete + insert of each victim's [set] image. *)
+let m_delete m tname pred ~set (txn : mtxn) ~implicit =
+  let versions = Hashtbl.find m.m_tables tname in
+  let victims =
+    List.filter
+      (fun v -> m_visible ~self:txn.mt_id ~snap:txn.mt_snap v && m_pred m tname pred v)
+      !versions
+  in
+  (* a visible victim with a stamped xmax is a write-write conflict:
+     stamper active = lock error, stamper committed (necessarily after our
+     snapshot, or it would be invisible) = serialization *)
+  if List.exists (fun v -> v.m_xmax <> 0) victims then Conflict
+  else begin
+    List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
+    txn.mt_del <- victims @ txn.mt_del;
+    let verb =
+      match set with
+      | None -> "deleted"
+      | Some f ->
+        m_create txn versions (List.map (fun v -> f v.m_vals) victims);
+        "updated"
+    in
+    if implicit then m_commit m txn;
+    Ok_tag (count_tag (List.length victims) verb)
+  end
+
 (* Apply [op] for session [i] to the model and return what the engine must
    do. State changes for a Conflict are NOT applied — the driver reacts by
    rolling back on both sides. *)
@@ -310,38 +366,13 @@ let m_step m (active : mtxn option array) i op : expected =
      | None -> Misuse)
   | Insert (tname, rows) ->
     in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let vs =
-          List.map
-            (fun row ->
-              { m_vals = row; m_xmin = txn.mt_id; m_xmin_csn = None;
-                m_xmax = 0; m_xmax_csn = None })
-            rows
-        in
-        versions := !versions @ vs;
-        txn.mt_ins <- vs @ txn.mt_ins;
+        m_create txn (Hashtbl.find m.m_tables tname) rows;
         if implicit then m_commit m txn;
         Ok_tag (count_tag (List.length rows) "inserted"))
-  | Delete (tname, pred) ->
-    in_txn (fun txn ~implicit ->
-        let versions = Hashtbl.find m.m_tables tname in
-        let victims =
-          List.filter
-            (fun v ->
-              m_visible ~self:txn.mt_id ~snap:txn.mt_snap v
-              && m_pred m tname pred v)
-            !versions
-        in
-        (* a visible victim with a stamped xmax is a write-write conflict:
-           stamper active = lock error, stamper committed (necessarily
-           after our snapshot, or it would be invisible) = serialization *)
-        if List.exists (fun v -> v.m_xmax <> 0) victims then Conflict
-        else begin
-          List.iter (fun v -> v.m_xmax <- txn.mt_id) victims;
-          txn.mt_del <- victims @ txn.mt_del;
-          if implicit then m_commit m txn;
-          Ok_tag (count_tag (List.length victims) "deleted")
-        end)
+  | Delete (tname, pred) -> in_txn (m_delete m tname pred ~set:None)
+  | Update (tname, pred) ->
+    let bump = function V.Int n :: rest -> V.Int (n + 1) :: rest | vals -> vals in
+    in_txn (m_delete m tname pred ~set:(Some bump))
   | Select (tname, pred) ->
     let self, snap =
       match active.(i) with

@@ -47,6 +47,7 @@ module W = Rss.Wal
 type dml =
   | Ins of string * V.t list list            (* table, rows *)
   | Del of string * (string * V.t) option    (* table, optional col = lit *)
+  | Upd of string * (string * V.t) option    (* SET c0 = c0 + 1 *)
 
 type group =
   | Auto of dml                              (* auto-commit statement *)
@@ -66,19 +67,10 @@ let gen_rows rng (t : Fuzz_gen.table) =
         t.Fuzz_gen.cols)
 
 let gen_dml rng (t : Fuzz_gen.table) =
-  if Random.State.int rng 3 = 0 then begin
-    let pred =
-      if Random.State.int rng 5 = 0 then None (* DELETE all *)
-      else
-        let c =
-          List.nth t.Fuzz_gen.cols
-            (Random.State.int rng (List.length t.Fuzz_gen.cols))
-        in
-        Some (c.Fuzz_gen.cname, Fuzz_gen.lit rng c)
-    in
-    Del (t.Fuzz_gen.tname, pred)
-  end
-  else Ins (t.Fuzz_gen.tname, gen_rows rng t)
+  match Random.State.int rng 6 with
+  | 0 | 1 -> Del (t.Fuzz_gen.tname, Fuzz_mvcc.gen_dml_pred rng t)
+  | 2 -> Upd (t.Fuzz_gen.tname, Fuzz_mvcc.gen_dml_pred rng t)
+  | _ -> Ins (t.Fuzz_gen.tname, gen_rows rng t)
 
 let gen_workload rng =
   let scenario = Fuzz_gen.gen_scenario rng in
@@ -104,14 +96,8 @@ let gen_workload rng =
 
 let dml_sql b = function
   | Ins (t, rows) -> Fuzz_sql.insert_rows b ~name:t rows
-  | Del (t, pred) ->
-    Buffer.add_string b ("DELETE FROM " ^ t);
-    (match pred with
-     | Some (c, v) ->
-       Buffer.add_string b
-         (" WHERE " ^ c ^ " = " ^ Fuzz_sql.value_to_string v)
-     | None -> ());
-    Buffer.add_string b ";\n"
+  | Del (t, p) -> Buffer.add_string b (Fuzz_mvcc.(op_sql (Delete (t, p))) ^ ";\n")
+  | Upd (t, p) -> Buffer.add_string b (Fuzz_mvcc.(op_sql (Update (t, p))) ^ ";\n")
 
 let workload_sql (w : workload) =
   let b = Buffer.create 512 in
@@ -353,7 +339,7 @@ let torture ?(crash_every = 1) (w : workload) : int * divergence option =
 let w_size (w : workload) =
   let dml_weight = function
     | Ins (_, rows) -> 10 + List.length rows
-    | Del _ -> 10
+    | Del _ | Upd _ -> 10
   in
   let group_weight = function
     | Auto d -> 100 + dml_weight d
@@ -431,7 +417,7 @@ let w_candidates (w : workload) : workload list =
   let touched =
     List.concat_map
       (fun g ->
-        let of_dml = function Ins (t, _) | Del (t, _) -> t in
+        let of_dml = function Ins (t, _) | Del (t, _) | Upd (t, _) -> t in
         match g with
         | Auto d -> [ of_dml d ]
         | Vac -> []
@@ -734,7 +720,7 @@ let torture_ms ?(crash_every = 1) (w : ms_workload) :
 let ms_size (w : ms_workload) =
   let item_weight = function
     | S_dml (_, Ins (_, rows)) -> 10 + List.length rows
-    | S_dml (_, Del _) -> 10
+    | S_dml (_, (Del _ | Upd _)) -> 10
     | S_begin _ | S_commit _ | S_rollback _ -> 2
     | S_flush -> 1
   in
@@ -792,7 +778,7 @@ let ms_candidates (w : ms_workload) : ms_workload list =
   let touched =
     List.filter_map
       (function
-        | S_dml (_, (Ins (t, _) | Del (t, _))) -> Some t
+        | S_dml (_, (Ins (t, _) | Del (t, _) | Upd (t, _))) -> Some t
         | _ -> None)
       w.items
   in

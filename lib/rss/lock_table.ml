@@ -17,13 +17,17 @@ type entry = {
 }
 
 type t = {
-  table : (resource, entry) Hashtbl.t;
+  table : (resource, entry) Hashtbl.t;  (* only resources held or waited on *)
+  owned : (txn, resource) Hashtbl.t;
+      (* one binding per resource a txn holds or waits on: a release
+         visits these, not the whole table *)
   waits_for : (txn, txn list) Hashtbl.t;  (* waiter -> blockers *)
   mutable last_granted : (txn * resource * mode) list;
 }
 
 let create () =
-  { table = Hashtbl.create 64; waits_for = Hashtbl.create 16; last_granted = [] }
+  { table = Hashtbl.create 64; owned = Hashtbl.create 16;
+    waits_for = Hashtbl.create 16; last_granted = [] }
 
 let entry t r =
   match Hashtbl.find_opt t.table r with
@@ -65,6 +69,8 @@ let acquire t txn r mode =
   match List.assoc_opt txn e.holders with
   | Some held when held = mode || (held = Exclusive && mode = Shared) -> Granted
   | held ->
+    (* a fresh entry has no blockers, so it is granted, never left empty *)
+    if held = None && not (List.mem_assoc txn e.queue) then Hashtbl.add t.owned txn r;
     let want = match held with Some Shared -> Exclusive | _ -> mode in
     let conflicts = conflicting_holders e txn want in
     let queued_ahead =
@@ -94,8 +100,11 @@ let acquire t txn r mode =
 let release_all t txn =
   Hashtbl.remove t.waits_for txn;
   t.last_granted <- [];
-  Hashtbl.iter
-    (fun r e ->
+  let owned = Hashtbl.find_all t.owned txn in
+  List.iter (fun _ -> Hashtbl.remove t.owned txn) owned;
+  List.iter
+    (fun r ->
+      let e = Hashtbl.find t.table r in
       e.holders <- List.filter (fun (h, _) -> h <> txn) e.holders;
       e.queue <- List.filter (fun (w, _) -> w <> txn) e.queue;
       (* Promote queued requests that are now compatible, preserving order. *)
@@ -109,8 +118,9 @@ let release_all t txn =
           promote ()
         | _ -> ()
       in
-      promote ())
-    t.table
+      promote ();
+      if e.holders = [] && e.queue = [] then Hashtbl.remove t.table r)
+    (List.rev owned)
 
 let holds t txn r mode =
   match Hashtbl.find_opt t.table r with
@@ -127,8 +137,6 @@ let holders t r =
 let waiting t r =
   match Hashtbl.find_opt t.table r with None -> [] | Some e -> e.queue
 
-let blocked_txns t =
-  Hashtbl.fold (fun _ e acc -> List.map fst e.queue @ acc) t.table []
-  |> List.sort_uniq Int.compare
-
 let granted_since t _txn = t.last_granted
+
+let size t = Hashtbl.length t.table

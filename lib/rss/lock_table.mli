@@ -34,13 +34,14 @@ val acquire : t -> txn -> resource -> mode -> outcome
 
 val release_all : t -> txn -> unit
 (** Release every lock of the transaction (two-phase commit point) and grant
-    any queued requests that became compatible, in arrival order. *)
+    any queued requests that became compatible, in arrival order. Costs
+    O(resources the transaction held or waited on); an entry left with no
+    holder and no waiter is dropped. *)
+
+val size : t -> int
+(** Resources with a holder or a waiter. *)
 
 val holds : t -> txn -> resource -> mode -> bool
-
-val blocked_txns : t -> txn list
-(** Every transaction with a queued (waiting) request, on any resource —
-    test harnesses poll this to sequence cross-session schedules. *)
 
 val holders : t -> resource -> (txn * mode) list
 val waiting : t -> resource -> (txn * mode) list

@@ -64,8 +64,11 @@ let test_delete_tuples_maintains_indexes () =
   let idx = Catalog.create_index cat ~name:"EMP_DNO" ~rel:emp ~columns:[ "DNO" ] ~clustered:false in
   load cat emp 100;
   let n =
-    Catalog.delete_tuples cat emp (fun t ->
-        match T.get t 1 with V.Int d -> d = 3 | _ -> false)
+    List.length
+      (List.filter
+         (fun (tid, t, _, _) ->
+           T.get t 1 = V.Int 3 && Catalog.delete_tid cat emp tid t)
+         (Catalog.scan_versions emp))
   in
   Alcotest.(check int) "deleted" 10 n;
   Alcotest.(check int) "index shrunk" 90 (Rss.Btree.entry_count idx.Catalog.btree);

@@ -316,6 +316,173 @@ let test_update_statement () =
    | _ -> Alcotest.fail "type mismatch accepted"
    | exception Database.Error _ -> ())
 
+(* --- DML retrieval through the optimizer ---------------------------------- *)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let exec_tag db sql =
+  match Database.exec db sql with
+  | Database.Done msg -> msg
+  | _ -> Alcotest.fail ("no command tag: " ^ sql)
+
+(* A keyed DELETE/UPDATE finds its victims through the index the optimizer
+   picks for the same WHERE clause: cold, it fetches a handful of index and
+   data pages, not the heap. *)
+let test_keyed_dml_uses_index () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE K5 (K INT, V INT, PAD STRING)");
+  let pad = String.make 200 'x' in
+  let cat = Database.catalog db in
+  let rel = Option.get (Catalog.find_relation cat "K5") in
+  for k = 0 to 4999 do
+    ignore (Catalog.insert_tuple cat rel (T.make [ V.Int k; V.Int (k mod 7); V.Str pad ]))
+  done;
+  ignore (Database.exec db "CREATE INDEX K5_K ON K5 (K)");
+  ignore (Database.exec db "UPDATE STATISTICS");
+  let heap_pages = List.length (Rss.Segment.page_ids rel.Catalog.segment) in
+  Alcotest.(check bool) "heap spans many pages" true (heap_pages > 100);
+  let fetches sql =
+    let pager = Database.pager db in
+    Rss.Pager.evict_all pager;
+    let c = Rss.Pager.counters pager in
+    let before = Rss.Counters.snapshot c in
+    let tag = exec_tag db sql in
+    let d = Rss.Counters.diff ~after:(Rss.Counters.snapshot c) ~before in
+    (tag, d.Rss.Counters.page_fetches)
+  in
+  let bound = heap_pages / 20 in
+  let tag, n = fetches "DELETE FROM K5 WHERE K = 1234" in
+  Alcotest.(check string) "delete tag" "1 row deleted" tag;
+  if n >= bound then
+    Alcotest.failf "keyed DELETE fetched %d pages (heap %d)" n heap_pages;
+  let tag, n = fetches "UPDATE K5 SET V = V + 100 WHERE K = 4321" in
+  Alcotest.(check string) "update tag" "1 row updated" tag;
+  if n >= bound then
+    Alcotest.failf "keyed UPDATE fetched %d pages (heap %d)" n heap_pages;
+  (match rows (Database.query db "SELECT V FROM K5 WHERE K = 4321") with
+   | [ [| V.Int v |] ] -> Alcotest.(check int) "updated" ((4321 mod 7) + 100) v
+   | _ -> Alcotest.fail "updated row");
+  Alcotest.(check int) "deleted" 0
+    (List.length (rows (Database.query db "SELECT V FROM K5 WHERE K = 1234")))
+
+(* The victims are drained before the first write: an UPDATE planned on an
+   index over the very column it raises must not meet its own new versions
+   further along the scan. *)
+let test_update_halloween_on_index () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE H (A INT, B INT, PAD STRING)");
+  (* few rows pass B > 5, spread over many pages: the index wins *)
+  let b_of a = if a < 20 then a else 0 in
+  let values =
+    String.concat ", "
+      (List.init 1000 (fun a ->
+           Printf.sprintf "(%d, %d, '%s')" a (b_of a) (String.make 200 'p')))
+  in
+  ignore (Database.exec db ("INSERT INTO H VALUES " ^ values));
+  ignore (Database.exec db "CREATE INDEX H_B ON H (B)");
+  ignore (Database.exec db "UPDATE STATISTICS");
+  Alcotest.(check bool) "the retrieval is planned on H_B" true
+    (contains (Database.explain db "SELECT B + 100 FROM H WHERE B > 5") "H_B");
+  Alcotest.(check string) "tag" "14 rows updated"
+    (exec_tag db "UPDATE H SET B = B + 100 WHERE B > 5");
+  let got =
+    List.sort compare
+      (List.map
+         (function
+           | [| V.Int a; V.Int b |] -> (a, b)
+           | _ -> Alcotest.fail "row shape")
+         (rows (Database.query db "SELECT A, B FROM H")))
+  in
+  let want =
+    List.init 1000 (fun a -> (a, if b_of a > 5 then b_of a + 100 else b_of a))
+  in
+  Alcotest.(check (list (pair int int))) "each row updated once" want got
+
+(* DELETE with a nested block in its WHERE removes exactly the rows the
+   naive evaluator qualifies for the same SELECT. *)
+let test_delete_with_subqueries () =
+  let check_delete where =
+    let db = Database.create () in
+    ignore
+      (Database.exec_script db
+         "CREATE TABLE D (A INT, B INT);
+          CREATE TABLE E (A INT, C INT);
+          CREATE INDEX D_A ON D (A);
+          INSERT INTO D VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, NULL),           (6, 5), (2, 25);
+          INSERT INTO E VALUES (1, 15), (2, 20), (2, 30), (4, 100), (7, 1),           (NULL, 3);
+          UPDATE STATISTICS;");
+    let naive sql =
+      Fuzz_harness.multiset
+        (Naive_eval.query (Database.catalog db) (Database.resolve db sql))
+    in
+    let victims = naive ("SELECT * FROM D WHERE " ^ where) in
+    let before = naive "SELECT * FROM D" in
+    let n = List.length victims in
+    Alcotest.(check string) ("tag: " ^ where)
+      (Printf.sprintf "%d row%s deleted" n (if n = 1 then "" else "s"))
+      (exec_tag db ("DELETE FROM D WHERE " ^ where));
+    let rec minus xs = function
+      | [] -> xs
+      | y :: ys ->
+        let rec drop = function
+          | [] -> []
+          | x :: rest -> if x = y then rest else x :: drop rest
+        in
+        minus (drop xs) ys
+    in
+    Alcotest.(check (list string)) ("survivors: " ^ where) (minus before victims)
+      (Fuzz_harness.multiset (rows (Database.query db "SELECT * FROM D")));
+    Alcotest.(check bool) ("some victims: " ^ where) true (n > 0)
+  in
+  check_delete "A IN (SELECT A FROM E WHERE C >= 20)";
+  check_delete "B < (SELECT MAX(C) FROM E WHERE E.A = D.A)";
+  check_delete "A = 2 AND B > (SELECT MIN(C) FROM E WHERE E.A = D.A)"
+
+(* Inside BEGIN the victim scan reads the transaction's snapshot plus its
+   own writes, through the index as through the heap. *)
+let test_delete_sees_own_inserts () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE O (K INT, V INT);
+        CREATE INDEX O_K ON O (K);
+        INSERT INTO O VALUES (1, 1), (2, 2);
+        UPDATE STATISTICS;");
+  ignore (Database.exec db "BEGIN");
+  ignore (Database.exec db "INSERT INTO O VALUES (3, 3), (3, 4), (5, 5)");
+  Alcotest.(check string) "keyed" "2 rows deleted"
+    (exec_tag db "DELETE FROM O WHERE K = 3");
+  Alcotest.(check string) "unkeyed" "2 rows deleted"
+    (exec_tag db "DELETE FROM O WHERE V > 1");
+  ignore (Database.exec db "COMMIT");
+  Alcotest.(check (list string)) "committed" [ "1|1" ]
+    (Fuzz_harness.multiset (rows (Database.query db "SELECT * FROM O")))
+
+(* Committed transactions leave nothing in the lock table: an autocommit
+   workload holds it at a constant size however long it runs. *)
+let test_lock_table_bounded () =
+  let db = Database.create () in
+  ignore
+    (Database.exec_script db
+       "CREATE TABLE L (K INT, V INT);
+        CREATE INDEX L_K ON L (K);
+        INSERT INTO L VALUES (0, 0), (1, 1), (2, 2);");
+  let locks () = Rss.Lock_table.size (Database.lock_table db) in
+  for i = 1 to 1000 do
+    let k = i mod 3 in
+    ignore (Database.exec db (Printf.sprintf "DELETE FROM L WHERE K = %d" k));
+    ignore (Database.exec db (Printf.sprintf "INSERT INTO L VALUES (%d, %d)" k i))
+  done;
+  Alcotest.(check int) "no entries survive commit" 0 (locks ());
+  ignore (Database.exec db "BEGIN");
+  ignore (Database.exec db "DELETE FROM L WHERE K = 1");
+  Alcotest.(check int) "relation + one tuple held" 2 (locks ());
+  ignore (Database.exec db "COMMIT");
+  Alcotest.(check int) "released" 0 (locks ())
+
 (* --- prepared statements ------------------------------------------------ *)
 
 let test_prepared_statements () =
@@ -628,7 +795,17 @@ let () =
           Alcotest.test_case "W invariance" `Quick test_w_affects_plans ] );
       ( "dml",
         [ Alcotest.test_case "UPDATE statement" `Quick test_update_statement;
-          Alcotest.test_case "DROP statements" `Quick test_drop_statements ] );
+          Alcotest.test_case "DROP statements" `Quick test_drop_statements;
+          Alcotest.test_case "keyed DELETE/UPDATE use the index" `Quick
+            test_keyed_dml_uses_index;
+          Alcotest.test_case "UPDATE on its own index is Halloween-safe" `Quick
+            test_update_halloween_on_index;
+          Alcotest.test_case "DELETE with subqueries matches the oracle" `Quick
+            test_delete_with_subqueries;
+          Alcotest.test_case "DELETE sees its transaction's inserts" `Quick
+            test_delete_sees_own_inserts;
+          Alcotest.test_case "lock table bounded under autocommit DML" `Quick
+            test_lock_table_bounded ] );
       ( "prepared",
         [ Alcotest.test_case "prepared statements" `Quick test_prepared_statements ] );
       ( "transactions",

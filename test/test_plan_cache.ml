@@ -198,7 +198,7 @@ let test_stats_shift_changes_cached_plan () =
   (* physically reorganize: reload in key order, then re-measure. DML alone
      must not invalidate (System R semantics: indexes are maintained, plans
      stay valid) — only the UPDATE STATISTICS afterwards moves the version. *)
-  ignore (Catalog.delete_tuples cat r (fun _ -> true));
+  Catalog.wipe_relation cat r;
   for k = 0 to n - 1 do
     ignore (Catalog.insert_tuple cat r (row k))
   done;
